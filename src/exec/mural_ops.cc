@@ -150,9 +150,15 @@ Status LexJoinOp::OpenImpl() {
   const int dop = options_.dop;
   parallel_mode_ = dop > 1 && ctx_->thread_pool != nullptr;
   if (parallel_mode_ && options_.inner_table != nullptr) {
-    // The build side is a bare table: skip the inner child entirely and
-    // let build workers drain the heap through page-range morsels.
-    MURAL_RETURN_IF_ERROR(ParallelHeapBuild(dop));
+    // The build side is a bare table: build workers drain the heap through
+    // page-range morsels instead of the inner child.  The drain is credited
+    // to that child's scan node (rows, time, storage), so EXPLAIN ANALYZE
+    // and ExecStats read the same as the serial drain at any DOP.
+    MURAL_RETURN_IF_ERROR(
+        CreditDrain(inner_.get(), [this, dop]() -> StatusOr<uint64_t> {
+          MURAL_RETURN_IF_ERROR(ParallelHeapBuild(dop));
+          return inner_rows_.size();
+        }));
     outer_valid_ = false;
     inner_pos_ = 0;
     return OpenParallel(dop, /*build_done=*/true);

@@ -136,6 +136,18 @@ StatusOr<bool> PhysicalOp::NextBatchImpl(RowBatch* out) {
   return true;
 }
 
+Status PhysicalOp::CreditDrain(
+    PhysicalOp* child, const std::function<StatusOr<uint64_t>()>& drain) {
+  const uint64_t t0 = SpanClock::NowNanos();
+  const uint64_t f0 = FetchNanosCounter()->value();
+  StatusOr<uint64_t> rows = drain();
+  child->span_.open_ns += SpanClock::NowNanos() - t0;
+  child->span_.storage_ns += FetchNanosCounter()->value() - f0;
+  MURAL_RETURN_IF_ERROR(rows.status());
+  child->CountRows(*rows);
+  return Status::OK();
+}
+
 Status PhysicalOp::Close() {
   if (!in_progress_) return Status::OK();
   const uint64_t t0 = SpanClock::NowNanos();

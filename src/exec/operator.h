@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -165,6 +166,15 @@ class PhysicalOp {
     rows_produced_ += n;
     ctx_->stats.rows_emitted += n;
   }
+
+  /// For a parent that produces a child's rows itself instead of driving
+  /// the child (the parallel Psi-join heap build): runs `drain`, which
+  /// returns the number of rows it produced on the child's behalf, and
+  /// credits them to `child` through CountRows, with the drain's wall time
+  /// and buffer-pool time added to the child's span.  The child's node then
+  /// reads in EXPLAIN ANALYZE and ExecStats as if it had been drained.
+  [[nodiscard]] static Status CreditDrain(
+      PhysicalOp* child, const std::function<StatusOr<uint64_t>()>& drain);
 
   ExecContext* ctx_;
   uint64_t rows_produced_ = 0;

@@ -13,6 +13,7 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
+#include "common/timer.h"
 #include "engine/database.h"
 #include "session/session.h"
 
@@ -278,8 +279,10 @@ Status Server::ServeConnection(int fd) {
       }
     }
   }
-  ::close(fd);
+  // Release the slot before closing: once closed, the fd number can be
+  // reused by a new accept, which must not find (or lose) this entry.
   UnregisterConnection(fd);
+  ::close(fd);
   Metrics().active->Add(-1);
   return Status::OK();
 }
@@ -299,6 +302,19 @@ bool Server::TryRegisterConnection(int fd) {
 void Server::UnregisterConnection(int fd) {
   MutexLock lock(mu_);
   conns_.erase(fd);
+  conn_released_.NotifyAll();
+}
+
+bool Server::WaitForConnectionsAtMost(size_t n, int64_t millis) {
+  Timer timer;
+  MutexLock lock(mu_);
+  while (conns_.size() > n) {
+    const int64_t remaining =
+        millis - static_cast<int64_t>(timer.ElapsedMillis());
+    if (remaining <= 0) return false;
+    conn_released_.WaitForMillis(mu_, remaining);
+  }
+  return true;
 }
 
 void Server::Stop() {

@@ -25,6 +25,9 @@
 // Threading: one ThreadPool task per live connection plus one for the
 // accept loop; no bare threads.  Stop() (also run by the destructor)
 // shuts down the listener and every live connection, then joins the pool.
+// A connection task releases its slot (unregisters its fd) before it
+// closes the fd, so a recycled fd number can never be mistaken for the
+// old connection; each release wakes WaitForConnectionsAtMost.
 //
 // Exported metrics: server.connections.active (gauge),
 // server.connections.total / server.connections.rejected and
@@ -79,6 +82,12 @@ class Server {
   /// tasks.  Idempotent.
   void Stop();
 
+  /// Blocks until at most `n` connections hold a slot, or `millis` pass.
+  /// Returns whether the count reached `n`.  A connection's slot is
+  /// released once its task has seen the client leave, so after this
+  /// returns true the next connect gets a free slot.
+  bool WaitForConnectionsAtMost(size_t n, int64_t millis);
+
   /// "path" for AF_UNIX, "127.0.0.1:<port>" for TCP.
   const std::string& endpoint() const { return endpoint_; }
   /// The bound TCP port (resolved when tcp_port was 0); -1 for AF_UNIX.
@@ -107,6 +116,7 @@ class Server {
 
   Mutex mu_;
   std::set<int> conns_ GUARDED_BY(mu_);
+  CondVar conn_released_;  // notified on every UnregisterConnection
   std::vector<std::future<Status>> tasks_ GUARDED_BY(mu_);
 };
 

@@ -264,13 +264,14 @@ TEST_F(ServerTest, RefusesConnectionsBeyondCapacity) {
   // Once the first client leaves, the slot frees up for a newcomer.
   EXPECT_TRUE(IsOk(first->Roundtrip("SELECT X FROM T")));
   first.reset();
-  for (int attempt = 0; attempt < 100; ++attempt) {
-    auto retry = TestClient::Connect(server_->endpoint());
-    ASSERT_NE(retry, nullptr);
-    auto response = retry->Roundtrip("SELECT X FROM T");
-    if (IsOk(response)) return;  // got the freed slot
-  }
-  FAIL() << "slot never freed after client disconnect";
+  // The server releases the slot once its task sees the EOF; wait for
+  // that instead of racing it.  The bound only guards against a hang.
+  ASSERT_TRUE(server_->WaitForConnectionsAtMost(0, /*millis=*/10000))
+      << "slot never freed after client disconnect";
+  auto retry = TestClient::Connect(server_->endpoint());
+  ASSERT_NE(retry, nullptr);
+  EXPECT_TRUE(IsOk(retry->Roundtrip("SELECT X FROM T")))
+      << "slot never freed after client disconnect";
 }
 
 TEST_F(ServerTest, StopDisconnectsClientsAndIsIdempotent) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "distance/edit_distance.h"
 #include "phonetic/g2p_engine.h"
 #include "phonetic/phoneme.h"
@@ -129,6 +131,14 @@ struct ConvergenceCase {
   LangId lang_b;
   int max_distance;  // phonemic distance budget (paper threshold ~2-3)
 };
+
+// Prints a case by its contents rather than gtest's default byte dump, whose
+// string pointers change with every load address and would make the case
+// names (which gtest_discover_tests builds from this output) unstable.
+void PrintTo(const ConvergenceCase& c, std::ostream* os) {
+  *os << c.a << "_lang" << c.lang_a << "_vs_" << c.b << "_lang" << c.lang_b
+      << "_max" << c.max_distance;
+}
 
 class ConvergenceTest : public ::testing::TestWithParam<ConvergenceCase> {};
 
